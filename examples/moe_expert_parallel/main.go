@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 		full[core.TensorID(lp.Path())] = t
 	}
 	const job = "moe"
-	if err := transform.LoadPTC(job, from, stores, full); err != nil {
+	if err := transform.LoadPTC(context.Background(), job, from, stores, full); err != nil {
 		log.Fatal(err)
 	}
 
@@ -57,7 +58,7 @@ func main() {
 	fmt.Printf("EP 2 -> 4 plan: %d fetches, %d splits, %d merges, %.2f MB to move (model: %.1f MB)\n",
 		st.Fetches, st.Splits, st.Merges, float64(st.MovedBytes)/1e6, float64(m.ParamBytes())/1e6)
 
-	if _, err := (&transform.Transformer{Job: job, Stores: stores}).Apply(plan); err != nil {
+	if _, err := (&transform.Transformer{Job: job, Stores: stores}).Apply(context.Background(), plan); err != nil {
 		log.Fatal(err)
 	}
 	// Verify the new expert layout.

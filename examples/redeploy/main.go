@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,7 +61,7 @@ func main() {
 		t.FillRand(int64(i), 0.05)
 		full[core.TensorID(lp.Path())] = t
 	}
-	if err := transform.LoadPTC(job, from, stores, full); err != nil {
+	if err := transform.LoadPTC(context.Background(), job, from, stores, full); err != nil {
 		log.Fatal(err)
 	}
 
@@ -68,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := (&transform.Transformer{Job: job, Stores: stores}).Apply(plan)
+	st, err := (&transform.Transformer{Job: job, Stores: stores}).Apply(context.Background(), plan)
 	if err != nil {
 		log.Fatal(err)
 	}

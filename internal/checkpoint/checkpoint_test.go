@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func setup(t *testing.T, cfg parallel.Config, n int) (*core.PTC, map[cluster.Dev
 	}
 	stores := localStores(n)
 	golden := goldenFor(ptc)
-	if err := transform.LoadPTC("job0", ptc, stores, golden); err != nil {
+	if err := transform.LoadPTC(context.Background(), "job0", ptc, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 	return ptc, stores, golden
@@ -211,7 +212,7 @@ func TestCheckpointAsPlanStorageFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &transform.Transformer{Job: "job0", Stores: stores, Storage: r}
-	st, err := tr.Apply(plan)
+	st, err := tr.Apply(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -116,7 +117,7 @@ func (r *jobRuntime) deploy(cfg parallel.Config, alloc cluster.Allocation, init 
 	if err != nil {
 		return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
 	}
-	if err := transform.LoadPTC(r.name, ptc, r.stores, init); err != nil {
+	if err := transform.LoadPTC(context.TODO(), r.name, ptc, r.stores, init); err != nil {
 		return fmt.Errorf("coordinator: deploy %s: %w", r.name, err)
 	}
 	r.ptc, r.cfg, r.alloc = ptc, cfg, append(cluster.Allocation(nil), alloc...)
@@ -218,7 +219,7 @@ func (r *jobRuntime) commitAttempt(ch *change, inj *chaos.Injector, key uint64) 
 	if inj != nil {
 		inj.BeginAttempt(r.name, key)
 	}
-	_, err := tr.Apply(ch.plan)
+	_, err := tr.Apply(context.TODO(), ch.plan)
 	if inj != nil {
 		inj.EndAttempt(r.name)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -104,19 +105,13 @@ func measureDatapath(w datapathWorkload, p transform.Pipeline, name string,
 		for d := 0; d < w.nDevs; d++ {
 			stores[cluster.DeviceID(d)] = store.Local{FS: store.NewMemFS()}
 		}
-		if err := transform.LoadPTC("datapath", w.from, stores, golden); err != nil {
+		if err := transform.LoadPTC(context.TODO(), "datapath", w.from, stores, golden); err != nil {
 			return DatapathRow{}, err
 		}
 		runtime.ReadMemStats(&m1)
 		t0 := time.Now()
-		var st transform.Stats
-		var err error
-		if w.topo != nil {
-			st, err = transform.ApplyDistributedPipeline("datapath", w.plan, w.topo, stores, nil, p)
-		} else {
-			tr := &transform.Transformer{Job: "datapath", Stores: stores, Pipeline: p}
-			st, err = tr.Apply(w.plan)
-		}
+		tr := &transform.Transformer{Job: "datapath", Stores: stores, Topo: w.topo, Pipeline: p}
+		st, err := tr.Apply(context.TODO(), w.plan)
 		elapsed += time.Since(t0)
 		runtime.ReadMemStats(&m2)
 		if err != nil {
@@ -236,13 +231,13 @@ func measureDatapathREST(w datapathWorkload, stores map[cluster.DeviceID]store.A
 	)
 	for iters < minIters || elapsed < budget {
 		wipe()
-		if err := transform.LoadPTC("datapath", w.from, stores, golden); err != nil {
+		if err := transform.LoadPTC(context.TODO(), "datapath", w.from, stores, golden); err != nil {
 			return DatapathRow{}, err
 		}
 		runtime.ReadMemStats(&m1)
 		t0 := time.Now()
-		st, err := transform.ApplyDistributedOpts("datapath", w.plan, w.topo, stores, nil,
-			transform.DistOptions{Pipeline: transform.Streamed, NoBatch: noBatch})
+		tr := &transform.Transformer{Job: "datapath", Stores: stores, Topo: w.topo, NoBatch: noBatch}
+		st, err := tr.Apply(context.TODO(), w.plan)
 		d := time.Since(t0)
 		elapsed += d
 		samples = append(samples, d)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -137,7 +138,7 @@ func roundTripState(tr *train.Trainer, fromCfg, toCfg parallel.Config) {
 	from := buildPTC(cat, fromCfg, topo.FirstN(fromCfg.WorldSize()))
 	to := buildPTC(cat, toCfg, topo.FirstN(toCfg.WorldSize()))
 	const job = "fig16"
-	if err := transform.LoadPTC(job, from, stores, full); err != nil {
+	if err := transform.LoadPTC(context.TODO(), job, from, stores, full); err != nil {
 		panic(err)
 	}
 	plan, err := core.GeneratePlan(from, to, core.PlanOptions{Topo: topo})
@@ -145,7 +146,7 @@ func roundTripState(tr *train.Trainer, fromCfg, toCfg parallel.Config) {
 		panic(err)
 	}
 	trx := &transform.Transformer{Job: job, Stores: stores}
-	if _, err := trx.Apply(plan); err != nil {
+	if _, err := trx.Apply(context.TODO(), plan); err != nil {
 		panic(err)
 	}
 	back, err := transform.ReadPTC(job, to, stores)
@@ -228,7 +229,7 @@ func reshardTP(topo *cluster.Topology, shards []*train.TPShard, tp, newTP int) [
 		panic(err)
 	}
 	trx := &transform.Transformer{Job: job, Stores: stores}
-	if _, err := trx.Apply(plan); err != nil {
+	if _, err := trx.Apply(context.TODO(), plan); err != nil {
 		panic(err)
 	}
 	// Rebuild shards from the new placement.

@@ -136,9 +136,7 @@ func (c *Client) batchSupported(ctx context.Context) (bool, error) {
 
 // BatchQueryInto implements BatchQuerier: all entries in one POST, the
 // response scatter-written frame-by-frame into the destination buffers.
-// Batches run under the retry policy but are never hedged (a second
-// in-flight copy of a bulk transfer doubles the bytes, not the odds); a
-// failed attempt re-requests ONLY the entries whose frames had not yet
+// Batches run under the retry policy; a failed attempt re-requests ONLY the entries whose frames had not yet
 // been received and verified, so a connection that dies near the end of
 // a large batch does not repeat the transfer from scratch.
 func (c *Client) BatchQueryInto(ctx context.Context, entries []BatchEntry) (BatchStats, error) {

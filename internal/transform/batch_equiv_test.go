@@ -76,11 +76,11 @@ func TestApplyBatchedEquivalenceOverREST(t *testing.T) {
 		run := func(p Pipeline, noBatch bool) (map[cluster.DeviceID]store.Access, int64) {
 			stores, batches, done := restStores(alloc(n))
 			closers = append(closers, done)
-			if err := LoadPTC(job, from, stores, golden); err != nil {
+			if err := LoadPTC(context.Background(), job, from, stores, golden); err != nil {
 				t.Fatal(err)
 			}
 			tr := &Transformer{Job: job, Stores: stores, Pipeline: p, NoBatch: noBatch, Parallelism: 4}
-			if _, err := tr.Apply(plan); err != nil {
+			if _, err := tr.Apply(context.Background(), plan); err != nil {
 				t.Fatalf("case %d pipeline %d noBatch %v: %v", ci, p, noBatch, err)
 			}
 			return stores, batches.Load()
@@ -133,7 +133,7 @@ func TestApplyBatchedChaosPreservesOldState(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		in := chaos.NewInjector(chaos.Plan{Seed: seed, StoreFaultRate: 0.1})
 		plain := localStores(alloc(4))
-		if err := LoadPTC(job, from, plain, golden); err != nil {
+		if err := LoadPTC(context.Background(), job, from, plain, golden); err != nil {
 			t.Fatal(err)
 		}
 		stores := map[cluster.DeviceID]store.Access{}
@@ -142,7 +142,7 @@ func TestApplyBatchedChaosPreservesOldState(t *testing.T) {
 		}
 		tr := &Transformer{Job: job, Stores: stores, Pipeline: Streamed, Parallelism: 4}
 		in.BeginAttempt(job, uint64(seed))
-		_, err := tr.Apply(plan)
+		_, err := tr.Apply(context.Background(), plan)
 		if err == nil {
 			t.Fatalf("seed %d: Apply survived 10%% store fault rate", seed)
 		}
@@ -153,7 +153,7 @@ func TestApplyBatchedChaosPreservesOldState(t *testing.T) {
 		// The failed attempt must not have disturbed the live model tree.
 		verifyAgainstGolden(t, job, from, plain, golden)
 		// Disarmed retry commits.
-		if _, err := tr.Apply(plan); err != nil {
+		if _, err := tr.Apply(context.Background(), plan); err != nil {
 			t.Fatalf("seed %d: disarmed retry failed: %v", seed, err)
 		}
 		verifyAgainstGolden(t, job, to, plain, golden)

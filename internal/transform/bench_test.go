@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"testing"
 
 	"tenplex/internal/cluster"
@@ -48,12 +49,12 @@ func BenchmarkApplyTPReshard(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			stores := localStores(alloc(4))
-			if err := LoadPTC("bench", from, stores, golden); err != nil {
+			if err := LoadPTC(context.Background(), "bench", from, stores, golden); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
 			tr := &Transformer{Job: "bench", Stores: stores, Pipeline: p}
-			st, err := tr.Apply(plan)
+			st, err := tr.Apply(context.Background(), plan)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -90,11 +91,12 @@ func BenchmarkApplyDistributed(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			stores := localStores(alloc(8))
-			if err := LoadPTC("bench", from, stores, golden); err != nil {
+			if err := LoadPTC(context.Background(), "bench", from, stores, golden); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			st, err := ApplyDistributedPipeline("bench", plan, topo, stores, nil, p)
+			tr := &Transformer{Job: "bench", Stores: stores, Topo: topo, Pipeline: p}
+			st, err := tr.Apply(context.Background(), plan)
 			if err != nil {
 				b.Fatal(err)
 			}

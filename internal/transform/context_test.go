@@ -46,7 +46,7 @@ func contextPlanFixture(t *testing.T) (*core.Plan, map[int]*countingFlaky, map[c
 	to := buildPTC(t, m, parallel.Config{TP: 4, PP: 1, DP: 1}, alloc(4))
 	golden := goldenState(from)
 	plain := localStores(alloc(4))
-	if err := LoadPTC(job, from, plain, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, from, plain, golden); err != nil {
 		t.Fatal(err)
 	}
 	wrapped := map[int]*countingFlaky{}
@@ -72,7 +72,7 @@ func TestApplyContextAbandonsWorkOnFirstError(t *testing.T) {
 		cf.failEvery = 1 // every operation fails
 	}
 	tr := &Transformer{Job: "job0", Stores: stores, Parallelism: 1}
-	if _, err := tr.Apply(plan); err == nil {
+	if _, err := tr.Apply(context.Background(), plan); err == nil {
 		t.Fatal("Apply succeeded despite injected faults")
 	}
 	var ops int64
@@ -92,9 +92,9 @@ func TestApplyContextPreCanceled(t *testing.T) {
 	tr := &Transformer{Job: "job0", Stores: stores, Parallelism: 4}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := tr.ApplyContext(ctx, plan)
+	_, err := tr.Apply(ctx, plan)
 	if err == nil {
-		t.Fatal("ApplyContext with canceled context succeeded")
+		t.Fatal("Apply with canceled context succeeded")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
@@ -133,7 +133,7 @@ func TestApplyContextInterruptsInFlightFetch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.ApplyContext(ctx, plan)
+		_, err := tr.Apply(ctx, plan)
 		done <- err
 	}()
 	// Give fetches time to park inside the store, then cancel.
@@ -142,9 +142,9 @@ func TestApplyContextInterruptsInFlightFetch(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("ApplyContext succeeded with every fetch parked")
+			t.Fatal("Apply succeeded with every fetch parked")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("ApplyContext did not return after cancellation; in-flight fetches were not interrupted")
+		t.Fatal("Apply did not return after cancellation; in-flight fetches were not interrupted")
 	}
 }

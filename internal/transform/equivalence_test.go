@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -108,11 +109,11 @@ func runEquivalenceTrial(t *testing.T, label string, m *model.Model,
 
 	run := func(p Pipeline) (map[cluster.DeviceID]store.Access, Stats, error) {
 		stores := localStores(devs)
-		if err := LoadPTC(job, from, stores, golden); err != nil {
+		if err := LoadPTC(context.Background(), job, from, stores, golden); err != nil {
 			t.Fatalf("%s: load: %v", label, err)
 		}
 		tr := &Transformer{Job: job, Stores: stores, Storage: storage, Pipeline: p, Parallelism: 4}
-		st, err := tr.Apply(plan)
+		st, err := tr.Apply(context.Background(), plan)
 		return stores, st, err
 	}
 	sStores, sStats, sErr := run(Streamed)
@@ -205,11 +206,11 @@ func TestApplyEquivalenceOverREST(t *testing.T) {
 				servers = append(servers, hs)
 				stores[cluster.DeviceID(d)] = &store.Client{Base: hs.URL, HTTP: hs.Client()}
 			}
-			if err := LoadPTC(job, from, stores, golden); err != nil {
+			if err := LoadPTC(context.Background(), job, from, stores, golden); err != nil {
 				t.Fatal(err)
 			}
 			tr := &Transformer{Job: job, Stores: stores, Pipeline: p}
-			if _, err := tr.Apply(plan); err != nil {
+			if _, err := tr.Apply(context.Background(), plan); err != nil {
 				t.Fatalf("case %d pipeline %d: %v", ci, p, err)
 			}
 			return stores

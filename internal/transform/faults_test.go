@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -74,7 +75,7 @@ func TestApplyFaultInjectionPreservesOldState(t *testing.T) {
 
 	for _, every := range []int64{3, 7, 13} {
 		plain := localStores(alloc(4))
-		if err := LoadPTC(job, from, plain, golden); err != nil {
+		if err := LoadPTC(context.Background(), job, from, plain, golden); err != nil {
 			t.Fatal(err)
 		}
 		wrapped := map[string]*flakyAccess{}
@@ -89,7 +90,7 @@ func TestApplyFaultInjectionPreservesOldState(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := &Transformer{Job: job, Stores: stores, Parallelism: 4}
-		if _, err := tr.Apply(plan); err == nil {
+		if _, err := tr.Apply(context.Background(), plan); err == nil {
 			t.Fatalf("failEvery=%d: Apply succeeded despite injected faults", every)
 		}
 		// Old state must be intact and fully readable.
@@ -108,7 +109,7 @@ func TestApplyFaultInjectionPreservesOldState(t *testing.T) {
 		for _, fa := range wrapped {
 			fa.failEvery = 0
 		}
-		if _, err := tr.Apply(plan); err != nil {
+		if _, err := tr.Apply(context.Background(), plan); err != nil {
 			t.Fatalf("failEvery=%d: retry failed: %v", every, err)
 		}
 		verifyAgainstGolden(t, job, to, stores, golden)
@@ -127,7 +128,7 @@ func TestApplyMidFailureCleansStaging(t *testing.T) {
 	golden := goldenState(from)
 
 	plain := localStores(alloc(4))
-	if err := LoadPTC(job, from, plain, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, from, plain, golden); err != nil {
 		t.Fatal(err)
 	}
 	wrapped := map[int]*flakyAccess{}
@@ -142,7 +143,7 @@ func TestApplyMidFailureCleansStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &Transformer{Job: job, Stores: flaky, Parallelism: 4}
-	if _, err := tr.Apply(plan); err == nil {
+	if _, err := tr.Apply(context.Background(), plan); err == nil {
 		t.Fatal("Apply succeeded despite injected faults")
 	}
 	for _, d := range to.Devices {
@@ -157,7 +158,7 @@ func TestApplyMidFailureCleansStaging(t *testing.T) {
 	for _, fa := range wrapped {
 		fa.failEvery = 0
 	}
-	if _, err := tr.Apply(plan); err != nil {
+	if _, err := tr.Apply(context.Background(), plan); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	verifyAgainstGolden(t, job, to, flaky, golden)

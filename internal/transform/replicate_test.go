@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestReplicateAndRestore(t *testing.T) {
 	stores := localStores(topo.FirstN(16))
 	golden := goldenState(ptc)
 	const job = "job0"
-	if err := LoadPTC(job, ptc, stores, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, ptc, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 
@@ -57,7 +58,7 @@ func TestReplicateMultipleCopies(t *testing.T) {
 	stores := localStores(topo.FirstN(16))
 	golden := goldenState(ptc)
 	const job = "job0"
-	if err := LoadPTC(job, ptc, stores, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, ptc, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 	written, err := Replicate(job, ptc, topo, stores, 2)

@@ -15,42 +15,86 @@ import (
 	"tenplex/internal/tensor"
 )
 
-// The batched staging path. Instead of one store round trip per plan
-// range, every assignment's device fetches are grouped by SOURCE store
-// and issued as one store.BatchQueryInto per source: the server
-// coalesces adjacent ranges and streams one frame sequence, which
-// scatter-writes straight into the (already allocated) destination
-// buffers. Staging then proceeds in three passes:
+// The staging engine. Every Apply stages its plan here, whatever the
+// stores and whether or not it runs one instance per worker. A
+// partition of assignments moves through three phases:
 //
 //  1. per-assignment prep (parallel): noop pointer staging, destination
-//     allocation, immediate fetches for anything unbatchable (Local
-//     stores, storage fallback, overlapping targets), and deferral of
+//     allocation (or, for the materialized reference, the whole
+//     fetch-and-assemble fill), immediate fetches for every range that
+//     cannot join a batch (stores without BatchQuerier such as Local,
+//     storage fallback, overlapping targets, NoBatch), and deferral of
 //     the rest;
-//  2. per-source batches (parallel across sources);
+//  2. per-source batches (parallel across sources): each source store
+//     answers one store.BatchQueryInto whose frames scatter-write
+//     straight into the destination buffers;
 //  3. staging uploads (parallel across assignments).
 //
-// Local stores never implement BatchQuerier, so in-process setups —
-// including the coordinator's deterministic sims and their golden obs
-// traces — take the classic per-assignment path unchanged.
+// The first fatal error anywhere cancels the shared context, so every
+// phase of every partition abandons its remaining work.
 
-// useBatch reports whether the batched staging path applies: streamed
-// pipeline, batching not disabled, and at least one batch-capable
-// store. Per-fetch capability is still checked during prep, so mixed
-// store sets batch what they can and fall back for the rest.
-func (tr *Transformer) useBatch() bool {
-	if tr.Pipeline != Streamed || tr.NoBatch {
-		return false
-	}
-	for _, acc := range tr.Stores {
-		if _, ok := acc.(store.BatchQuerier); ok {
-			return true
-		}
-	}
-	return false
+// The paper runs one State Transformer instance per resource (§5.1);
+// each instance executes the subset of the reconfiguration plan whose
+// destinations it owns, fetching remote ranges from peer Tensor Stores.
+// ApplyDistributed reproduces that deployment shape through
+// Transformer.Topo: one engine partition per worker, a shared fate, and
+// a global barrier before the single commit.
+func ApplyDistributed(job string, plan *core.Plan, topo *cluster.Topology,
+	stores map[cluster.DeviceID]store.Access, storage StorageReader) (Stats, error) {
+	return (&Transformer{Job: job, Stores: stores, Storage: storage, Topo: topo}).Apply(context.TODO(), plan)
 }
 
-// batchPrep is one assignment moving through the batched staging path.
-type batchPrep struct {
+// stage runs every partition of the plan concurrently and collects the
+// fatal errors; ones caused by the shared cancellation are dropped, as
+// which operations a doomed attempt reached is scheduling, not outcome.
+func (tr *Transformer) stage(ctx context.Context, cancel context.CancelFunc, plan *core.Plan) (Stats, []error) {
+	var (
+		mu   sync.Mutex
+		errs []error
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
+			errs = append(errs, err)
+		}
+		mu.Unlock()
+		cancel()
+	}
+	parts := tr.partition(plan)
+	stats := make([]Stats, len(parts))
+	runBounded(ctx, len(parts), len(parts), func(i int) {
+		stats[i] = tr.stagePartition(ctx, fail, plan, parts[i])
+	})
+	var st Stats
+	for _, s := range stats {
+		st.merge(s)
+	}
+	return st, errs
+}
+
+// partition splits the assignments by the worker owning their
+// destination device; without a topology the plan is one partition.
+func (tr *Transformer) partition(plan *core.Plan) [][]core.Assignment {
+	if tr.Topo == nil {
+		return [][]core.Assignment{plan.Assignments}
+	}
+	index := map[int]int{}
+	var parts [][]core.Assignment
+	for _, a := range plan.Assignments {
+		w := tr.Topo.WorkerOf(a.Device)
+		i, ok := index[w]
+		if !ok {
+			i = len(parts)
+			index[w] = i
+			parts = append(parts, nil)
+		}
+		parts[i] = append(parts[i], a)
+	}
+	return parts
+}
+
+// prep is one assignment moving through the engine.
+type prep struct {
 	a      core.Assignment
 	out    *tensor.Tensor // nil when the noop fast path staged by pointer
 	st     Stats
@@ -64,38 +108,28 @@ type batchPrep struct {
 // to p's stats when the batch lands.
 type batchFetch struct {
 	src   cluster.DeviceID
-	p     *batchPrep
+	p     *prep
 	entry store.BatchEntry
 	bytes int64
 }
 
-// stageBatched stages every assignment of the plan through the batched
-// path; the first fatal error cancels the rest. Counter totals match
-// the per-assignment path: only fully staged assignments contribute.
-func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFunc, plan *core.Plan) (Stats, []error) {
+// stagePartition stages one partition's assignments through the three
+// phases. Only fully staged assignments contribute to the returned
+// counters.
+func (tr *Transformer) stagePartition(ctx context.Context, fail func(error), plan *core.Plan, as []core.Assignment) Stats {
 	par := tr.Parallelism
 	if par <= 0 {
 		par = 8
 	}
-	preps := make([]batchPrep, len(plan.Assignments))
+	preps := make([]prep, len(as))
 	var (
 		mu       sync.Mutex
 		deferred []batchFetch
-		errs     []error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
-			errs = append(errs, err)
-		}
-		mu.Unlock()
-		cancel()
-	}
 
-	runBounded(ctx, par, len(plan.Assignments), func(i int) {
+	runBounded(ctx, par, len(preps), func(i int) {
 		p := &preps[i]
-		p.a = plan.Assignments[i]
-		p.start = time.Now()
+		p.a, p.start = as[i], time.Now()
 		local, err := tr.prepAssignment(ctx, plan, p)
 		if err != nil {
 			p.err = err
@@ -173,7 +207,7 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 	var st Stats
 	for i := range preps {
 		p := &preps[i]
-		tr.recordBatchSpan(ctx, p)
+		tr.recordSpan(ctx, p)
 		if !p.staged {
 			continue
 		}
@@ -183,17 +217,24 @@ func (tr *Transformer) stageBatched(ctx context.Context, cancel context.CancelFu
 		}
 		st.merge(p.st)
 	}
-	return st, errs
+	return st
 }
 
-// prepAssignment stages a noop by pointer or allocates the destination
-// and routes every plan range: ranges read from batch-capable device
-// stores with pairwise-disjoint targets are returned for the batch
-// phase, everything else fetches immediately.
-func (tr *Transformer) prepAssignment(ctx context.Context, plan *core.Plan, p *batchPrep) ([]batchFetch, error) {
+// prepAssignment fills the materialized reference's destination, or
+// stages a noop by pointer, or allocates the destination and routes
+// every plan range: ranges read from batch-capable device stores with
+// pairwise-disjoint targets are returned for the batch phase,
+// everything else fetches immediately.
+func (tr *Transformer) prepAssignment(ctx context.Context, plan *core.Plan, p *prep) ([]batchFetch, error) {
 	a := p.a
 	meta := plan.To.Tensors[a.Tensor]
 	dst := tr.Stores[a.Device]
+
+	if tr.Pipeline == Materialized {
+		out, err := tr.materialize(ctx, a, meta.DType, &p.st)
+		p.out = out
+		return nil, err
+	}
 
 	if a.IsNoop() && !uploadCopies(dst) {
 		if t, err := dst.Query(ModelPath(tr.Job, a.Device, a.Tensor), nil); err == nil {
@@ -224,26 +265,24 @@ func (tr *Transformer) prepAssignment(ctx context.Context, plan *core.Plan, p *b
 	// Overlapping targets force the immediate sequential path: batches
 	// from different sources scatter concurrently, and two writers for
 	// one destination byte would race.
-	batchable := disjointTargets(a.Fetch)
+	batchable := !tr.NoBatch && disjointTargets(a.Fetch)
 	var deferred []batchFetch
 	for _, f := range a.Fetch {
 		if batchable && f.Src.Kind == core.FromDevice {
-			if src, ok := tr.Stores[f.Src.Device]; ok {
-				if _, ok := src.(store.BatchQuerier); ok {
-					target, local := fetchRegions(a, f)
-					deferred = append(deferred, batchFetch{
-						src: f.Src.Device,
-						p:   p,
-						entry: store.BatchEntry{
-							Path: ModelPath(tr.Job, f.Src.Device, a.Tensor),
-							Reg:  local,
-							Dst:  out,
-							At:   target,
-						},
-						bytes: f.Want.NumBytes(meta.DType),
-					})
-					continue
-				}
+			if _, ok := tr.Stores[f.Src.Device].(store.BatchQuerier); ok {
+				target, local := fetchRegions(a, f)
+				deferred = append(deferred, batchFetch{
+					src: f.Src.Device,
+					p:   p,
+					entry: store.BatchEntry{
+						Path: ModelPath(tr.Job, f.Src.Device, a.Tensor),
+						Reg:  local,
+						Dst:  out,
+						At:   target,
+					},
+					bytes: f.Want.NumBytes(meta.DType),
+				})
+				continue
 			}
 		}
 		fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
@@ -255,12 +294,11 @@ func (tr *Transformer) prepAssignment(ctx context.Context, plan *core.Plan, p *b
 	return deferred, nil
 }
 
-// recordBatchSpan mirrors applyAssignment's per-assignment datapath
-// span for the batched path. The recorded duration runs from prep start
-// to staging end and so includes the shared batch wait; spans for
-// assignments abandoned by cancellation are suppressed along with their
-// errors, exactly as on the per-assignment path.
-func (tr *Transformer) recordBatchSpan(ctx context.Context, p *batchPrep) {
+// recordSpan records one datapath span per assignment when the tracer
+// is deep. The duration runs from prep start to staging end and so
+// includes the shared batch wait; spans for assignments abandoned by
+// cancellation are suppressed along with their errors.
+func (tr *Transformer) recordSpan(ctx context.Context, p *prep) {
 	if !tr.Obs.Deep() {
 		return
 	}
@@ -287,21 +325,6 @@ func (tr *Transformer) recordBatchSpan(ctx context.Context, p *batchPrep) {
 		attrs["err"] = p.err.Error()
 	}
 	tr.Obs.Record(obs.SpanAssignment, obs.CatDatapath, time.Since(p.start).Nanoseconds(), attrs)
-}
-
-// fetchRegions computes a fetch's destination region inside the
-// assignment's buffer and its source-local region inside the stored
-// sub-tensor (Want translated by the respective origins), mirroring
-// fetchInto's arithmetic.
-func fetchRegions(a core.Assignment, f core.Fetch) (target, local tensor.Region) {
-	rank := len(f.Want)
-	regs := make(tensor.Region, 2*rank)
-	target, local = regs[:rank:rank], regs[rank:]
-	for i := range f.Want {
-		target[i] = tensor.Range{Lo: f.Want[i].Lo - a.Region[i].Lo, Hi: f.Want[i].Hi - a.Region[i].Lo}
-		local[i] = tensor.Range{Lo: f.Want[i].Lo - f.Src.Region[i].Lo, Hi: f.Want[i].Hi - f.Src.Region[i].Lo}
-	}
-	return target, local
 }
 
 // regionLess orders regions by their bounds, dimension-major.

@@ -5,14 +5,15 @@
 // are local assembly), stage the new partitions next to the old ones,
 // and atomically commit when every assignment has landed.
 //
-// The production data path is streamed and zero-copy: each destination
-// sub-tensor is allocated exactly once and every plan range is fetched
-// *into* its final strided offset (local ranges are a pure copy,
-// peer/storage ranges scatter straight off the wire), so a byte moves
-// from source holder to destination buffer exactly once. The previous
-// materialize-then-assemble pipeline is retained as a reference
-// implementation (Pipeline == Materialized) and property-tested
-// byte-identical to the streamed path.
+// One staging engine (stage.go) executes every plan, with or without a
+// topology, against local and REST stores alike. The production data
+// path is streamed and zero-copy: each destination sub-tensor is
+// allocated exactly once and every plan range is fetched *into* its
+// final strided offset, either immediately or as one entry of a
+// per-source multi-range batch, so a byte moves from source holder to
+// destination buffer exactly once. The materialize-then-assemble fill
+// is retained as a reference (Pipeline == Materialized) and
+// property-tested byte-identical to the streamed path.
 package transform
 
 import (
@@ -22,7 +23,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"tenplex/internal/cluster"
@@ -88,11 +88,9 @@ const (
 	Materialized
 )
 
-// Transformer executes plans. One logical Transformer drives all
-// devices here; in a real deployment each worker runs one instance and
-// executes the subset of assignments destined for its devices — the
-// code path is identical because every store is reached through the
-// store.Access interface (local or REST).
+// Transformer executes plans. Every store is reached through the
+// store.Access interface (local or REST), so one code path serves the
+// in-process coordinator and the per-worker deployment shape alike.
 type Transformer struct {
 	// Job scopes all store paths.
 	Job string
@@ -101,7 +99,13 @@ type Transformer struct {
 	// Storage reads persisted checkpoints; may be nil if the plan has
 	// no storage fetches.
 	Storage StorageReader
-	// Parallelism bounds concurrent assignment execution; <= 0 means 8.
+	// Topo, when non-nil, runs one State Transformer instance per worker
+	// (§5.1): each worker's destination devices stage as their own
+	// partition, concurrently and under one shared context, and a single
+	// commit follows. Nil stages the whole plan as one partition.
+	Topo *cluster.Topology
+	// Parallelism bounds concurrent assignments and source batches per
+	// partition; <= 0 means 8.
 	Parallelism int
 	// Pipeline selects the data path; the zero value is the streamed
 	// production pipeline.
@@ -155,8 +159,10 @@ func (s Stats) CopyAmplification() float64 {
 	return 0
 }
 
-// merge folds the byte counters of o into s.
+// merge folds the counters of o (all but Duration) into s.
 func (s *Stats) merge(o Stats) {
+	s.Assignments += o.Assignments
+	s.Noops += o.Noops
 	s.LocalBytes += o.LocalBytes
 	s.PeerBytes += o.PeerBytes
 	s.StorageBytes += o.StorageBytes
@@ -168,19 +174,12 @@ func (s *Stats) merge(o Stats) {
 // the staging area of its device's store, and once all assignments
 // succeed the staged tree replaces the live model state on every
 // destination device. On error nothing is committed and any partially
-// staged state is removed.
-func (tr *Transformer) Apply(plan *core.Plan) (Stats, error) {
-	return tr.ApplyContext(context.Background(), plan)
-}
-
-// ApplyContext is Apply under a caller-supplied context. The first
-// fatal assignment error cancels the whole apply: the worker pool
-// abandons queued assignments and in-flight fetches through
-// context-aware stores are interrupted, so a doomed reconfiguration
-// stops moving bytes as soon as its outcome is known. Canceling ctx
-// externally aborts the apply the same way (nothing is committed,
-// staging is cleaned up).
-func (tr *Transformer) ApplyContext(ctx context.Context, plan *core.Plan) (Stats, error) {
+// staged state is removed. The first fatal assignment error cancels the
+// whole apply (every worker's partition included): queued assignments
+// are abandoned and in-flight fetches through context-aware stores are
+// interrupted, so a doomed reconfiguration stops moving bytes as soon
+// as its outcome is known. Canceling ctx aborts the apply the same way.
+func (tr *Transformer) Apply(ctx context.Context, plan *core.Plan) (Stats, error) {
 	start := time.Now()
 	var st Stats
 	if err := plan.Validate(); err != nil {
@@ -198,12 +197,7 @@ func (tr *Transformer) ApplyContext(ctx context.Context, plan *core.Plan) (Stats
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var errs []error
-	if tr.useBatch() {
-		st, errs = tr.stageBatched(ctx, cancel, plan)
-	} else {
-		st, errs = tr.stagePooled(ctx, cancel, plan)
-	}
+	st, errs := tr.stage(ctx, cancel, plan)
 	if len(errs) == 0 && ctx.Err() != nil {
 		errs = append(errs, ctx.Err())
 	}
@@ -219,64 +213,6 @@ func (tr *Transformer) ApplyContext(ctx context.Context, plan *core.Plan) (Stats
 	st.Duration = time.Since(start)
 	tr.recordStats(st)
 	return st, nil
-}
-
-// stagePooled stages every assignment through a fixed worker pool that
-// drains the assignment queue, bounding goroutine count by Parallelism
-// instead of plan size. The first fatal error cancels the rest.
-func (tr *Transformer) stagePooled(ctx context.Context, cancel context.CancelFunc, plan *core.Plan) (Stats, []error) {
-	var st Stats
-	par := tr.Parallelism
-	if par <= 0 {
-		par = 8
-	}
-	if par > len(plan.Assignments) {
-		par = len(plan.Assignments)
-	}
-	var (
-		mu   sync.Mutex
-		errs []error
-		wg   sync.WaitGroup
-		work = make(chan core.Assignment)
-	)
-	for i := 0; i < par; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for a := range work {
-				if ctx.Err() != nil {
-					continue // abandoned: drain the queue without working
-				}
-				s, err := tr.applyAssignment(ctx, plan, a)
-				mu.Lock()
-				if err != nil {
-					if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {
-						errs = append(errs, err)
-					}
-					mu.Unlock()
-					cancel()
-					continue
-				}
-				st.Assignments++
-				if a.IsNoop() {
-					st.Noops++
-				}
-				st.merge(s)
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, a := range plan.Assignments {
-		select {
-		case work <- a:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-	return st, errs
 }
 
 // recordStats absorbs one successful apply's Stats into the shared
@@ -297,47 +233,6 @@ func (tr *Transformer) recordStats(st Stats) {
 	reg.Add("transform.bytes_copied", st.BytesCopied)
 	reg.Add("transform.alloc_bytes", st.AllocBytes)
 	reg.Histogram("transform.apply_ns").Observe(st.Duration.Nanoseconds())
-}
-
-// applyAssignment builds one destination sub-tensor in staging through
-// the selected pipeline, recording a datapath span per assignment when
-// the tracer is deep. Spans for assignments abandoned by cancellation
-// are suppressed along with their errors — which operations a doomed
-// attempt reached is scheduling, not outcome.
-func (tr *Transformer) applyAssignment(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	if !tr.Obs.Deep() {
-		return tr.applyAssignmentPipeline(ctx, plan, a)
-	}
-	start := time.Now()
-	st, err := tr.applyAssignmentPipeline(ctx, plan, a)
-	if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-		return st, err
-	}
-	attrs := map[string]any{
-		"tensor": string(a.Tensor),
-		"device": int(a.Device),
-	}
-	if a.IsNoop() {
-		attrs["noop"] = true
-	}
-	if b := st.PlanBytes(); b > 0 {
-		attrs["bytes"] = b
-	}
-	if st.AllocBytes > 0 {
-		attrs["alloc_bytes"] = st.AllocBytes
-	}
-	if err != nil {
-		attrs["err"] = err.Error()
-	}
-	tr.Obs.Record(obs.SpanAssignment, obs.CatDatapath, time.Since(start).Nanoseconds(), attrs)
-	return st, err
-}
-
-func (tr *Transformer) applyAssignmentPipeline(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	if tr.Pipeline == Materialized {
-		return tr.applyAssignmentMaterialized(ctx, plan, a)
-	}
-	return tr.applyAssignmentStreamed(ctx, plan, a)
 }
 
 // ctxQuerier is the optional context-aware read interface; store.Client
@@ -437,107 +332,16 @@ func renameCtx(ctx context.Context, acc store.Access, src, dst string) error {
 	return acc.Rename(src, dst)
 }
 
-// applyAssignmentStreamed is the zero-copy pipeline: the destination
-// sub-tensor is allocated once and every plan range is fetched directly
-// into its final strided offset. Independent ranges of one assignment
-// fetch concurrently (they are disjoint by plan construction; overlap
-// forces a sequential pass). Noop assignments against reference-
-// retaining stores move the existing tensor by pointer — no bytes are
-// copied or allocated at all.
-func (tr *Transformer) applyAssignmentStreamed(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	var st Stats
-	meta := plan.To.Tensors[a.Tensor]
-	dst := tr.Stores[a.Device]
-
-	if a.IsNoop() && !uploadCopies(dst) {
-		if t, err := dst.Query(ModelPath(tr.Job, a.Device, a.Tensor), nil); err == nil {
-			if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), t); err != nil {
-				return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-			}
-			st.LocalBytes += a.Region.NumBytes(meta.DType)
-			return st, nil
-		}
-		// The sub-tensor is unexpectedly absent; fall through so the
-		// general path reports the fetch error.
-	}
-
-	out := tensor.NewFromRegion(meta.DType, a.Region)
-	st.AllocBytes += int64(out.NumBytes())
-
-	covered := 0
-	for i := range a.Fetch {
-		covered += a.Fetch[i].Want.NumElems()
-	}
-	if covered < a.Region.NumElems() {
-		return st, fmt.Errorf("transform: assemble %s%v: fetches cover %d of %d elements",
-			a.Tensor, a.Region, covered, a.Region.NumElems())
-	}
-
-	if len(a.Fetch) > 1 && disjointTargets(a.Fetch) {
-		var (
-			mu   sync.Mutex
-			errs []error
-			wg   sync.WaitGroup
-		)
-		for _, f := range a.Fetch {
-			wg.Add(1)
-			go func(f core.Fetch) {
-				defer wg.Done()
-				fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					errs = append(errs, err)
-					return
-				}
-				st.merge(fs)
-			}(f)
-		}
-		wg.Wait()
-		if len(errs) > 0 {
-			sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-			return st, errs[0]
-		}
-	} else {
-		for _, f := range a.Fetch {
-			fs, err := tr.fetchInto(ctx, a, f, meta.DType, out)
-			if err != nil {
-				return st, err
-			}
-			st.merge(fs)
-		}
-	}
-
-	if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), out); err != nil {
-		return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-	}
-	if uploadCopies(dst) {
-		st.BytesCopied += int64(out.NumBytes())
-	}
-	return st, nil
-}
-
 // fetchInto streams one plan range into its final offset inside out.
-// The target and (for device sources) source-local regions share one
-// backing allocation; everything else on this path is allocation-free
-// up to the store call.
 func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.Fetch, dt tensor.DType, out *tensor.Tensor) (Stats, error) {
 	var fs Stats
 	bytes := f.Want.NumBytes(dt)
-	rank := len(f.Want)
-	regs := make(tensor.Region, 2*rank)
-	target, local := regs[:rank:rank], regs[rank:]
-	for i := range f.Want {
-		target[i] = tensor.Range{Lo: f.Want[i].Lo - a.Region[i].Lo, Hi: f.Want[i].Hi - a.Region[i].Lo}
-	}
+	target, local := fetchRegions(a, f)
 	switch f.Src.Kind {
 	case core.FromDevice:
 		src, ok := tr.Stores[f.Src.Device]
 		if !ok {
 			return fs, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
-		}
-		for i := range f.Want {
-			local[i] = tensor.Range{Lo: f.Want[i].Lo - f.Src.Region[i].Lo, Hi: f.Want[i].Hi - f.Src.Region[i].Lo}
 		}
 		n, err := queryInto(ctx, src, ModelPath(tr.Job, f.Src.Device, a.Tensor), local, out, target)
 		if err != nil {
@@ -576,33 +380,44 @@ func (tr *Transformer) fetchInto(ctx context.Context, a core.Assignment, f core.
 	return fs, nil
 }
 
-// applyAssignmentMaterialized is the retained reference pipeline: every
-// fetched range materializes as a fresh sub-tensor, the destination is
-// assembled from the pieces, and the result is uploaded — each byte is
-// copied at least twice before staging.
-func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *core.Plan, a core.Assignment) (Stats, error) {
-	var st Stats
-	meta := plan.To.Tensors[a.Tensor]
-	dst := tr.Stores[a.Device]
+// fetchRegions computes a fetch's destination region inside the
+// assignment's buffer and its source-local region inside the stored
+// sub-tensor (Want translated by the respective origins). Both share
+// one backing allocation.
+func fetchRegions(a core.Assignment, f core.Fetch) (target, local tensor.Region) {
+	rank := len(f.Want)
+	regs := make(tensor.Region, 2*rank)
+	target, local = regs[:rank:rank], regs[rank:]
+	for i := range f.Want {
+		target[i] = tensor.Range{Lo: f.Want[i].Lo - a.Region[i].Lo, Hi: f.Want[i].Hi - a.Region[i].Lo}
+		local[i] = tensor.Range{Lo: f.Want[i].Lo - f.Src.Region[i].Lo, Hi: f.Want[i].Hi - f.Src.Region[i].Lo}
+	}
+	return target, local
+}
 
+// materialize is the retained reference fill (Pipeline == Materialized):
+// every fetched range materializes as a fresh sub-tensor and the
+// destination is assembled from the pieces, so each byte is copied at
+// least twice before staging.
+func (tr *Transformer) materialize(ctx context.Context, a core.Assignment, dt tensor.DType, st *Stats) (*tensor.Tensor, error) {
 	var pieces []tensor.Piece
 	for _, f := range a.Fetch {
 		if err := ctx.Err(); err != nil {
-			return st, err
+			return nil, err
 		}
-		bytes := f.Want.NumBytes(meta.DType)
+		bytes := f.Want.NumBytes(dt)
 		var data *tensor.Tensor
 		var err error
 		switch f.Src.Kind {
 		case core.FromDevice:
 			src, ok := tr.Stores[f.Src.Device]
 			if !ok {
-				return st, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
+				return nil, fmt.Errorf("transform: no store for source device %d", f.Src.Device)
 			}
 			local := f.Want.Translate(f.Src.Region.Offset())
 			data, err = src.Query(ModelPath(tr.Job, f.Src.Device, a.Tensor), local)
 			if err != nil {
-				return st, fmt.Errorf("transform: fetch %s%v from dev %d: %w", a.Tensor, f.Want, f.Src.Device, err)
+				return nil, fmt.Errorf("transform: fetch %s%v from dev %d: %w", a.Tensor, f.Want, f.Src.Device, err)
 			}
 			if f.Src.Device == a.Device {
 				st.LocalBytes += bytes
@@ -611,11 +426,11 @@ func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *co
 			}
 		case core.FromStorage:
 			if tr.Storage == nil {
-				return st, fmt.Errorf("transform: plan needs storage for %s%v but no StorageReader configured", a.Tensor, f.Want)
+				return nil, fmt.Errorf("transform: plan needs storage for %s%v but no StorageReader configured", a.Tensor, f.Want)
 			}
 			data, err = tr.Storage.ReadRange(a.Tensor, f.Want)
 			if err != nil {
-				return st, fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
+				return nil, fmt.Errorf("transform: storage read %s%v: %w", a.Tensor, f.Want, err)
 			}
 			st.StorageBytes += bytes
 		}
@@ -626,21 +441,15 @@ func (tr *Transformer) applyAssignmentMaterialized(ctx context.Context, plan *co
 			Data:   data,
 		})
 	}
-	merged, err := tensor.Assemble(meta.DType, a.Region.Shape(), pieces)
+	merged, err := tensor.Assemble(dt, a.Region.Shape(), pieces)
 	if err != nil {
-		return st, fmt.Errorf("transform: assemble %s%v: %w", a.Tensor, a.Region, err)
+		return nil, fmt.Errorf("transform: assemble %s%v: %w", a.Tensor, a.Region, err)
 	}
 	st.AllocBytes += int64(merged.NumBytes())
 	for _, p := range pieces {
 		st.BytesCopied += int64(p.Data.NumBytes()) // assembly copy
 	}
-	if err := upload(ctx, dst, stagingPath(tr.Job, a.Device, a.Tensor), merged); err != nil {
-		return st, fmt.Errorf("transform: stage %s on dev %d: %w", a.Tensor, a.Device, err)
-	}
-	if uploadCopies(dst) {
-		st.BytesCopied += int64(merged.NumBytes())
-	}
-	return st, nil
+	return merged, nil
 }
 
 // disjointTargets reports whether the fetched ranges are pairwise
@@ -739,16 +548,9 @@ func (tr *Transformer) checkOneRegionPerTensor(plan *core.Plan) error {
 // LoadPTC materializes PTC state into the stores: every device's
 // sub-tensors stream out of the provided full tensors straight into
 // each store (a region view feeds UploadFrom, so no intermediate
-// sub-tensor is sliced out).
-func LoadPTC(job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
-	full map[core.TensorID]*tensor.Tensor) error {
-	return LoadPTCContext(context.Background(), job, ptc, stores, full)
-}
-
-// LoadPTCContext is LoadPTC under a caller-supplied context: against
-// context-aware stores, cancellation aborts an in-flight streaming
-// upload promptly instead of letting it run to completion.
-func LoadPTCContext(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
+// sub-tensor is sliced out). Against context-aware stores, canceling
+// ctx aborts an in-flight streaming upload promptly.
+func LoadPTC(ctx context.Context, job string, ptc *core.PTC, stores map[cluster.DeviceID]store.Access,
 	full map[core.TensorID]*tensor.Tensor) error {
 	for _, d := range ptc.Devices {
 		acc, ok := stores[d]

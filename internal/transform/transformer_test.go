@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -78,7 +79,7 @@ func reconfigure(t *testing.T, m *model.Model, fromCfg, toCfg parallel.Config,
 	from := buildPTC(t, m, fromCfg, fromAlloc)
 	to := buildPTC(t, m, toCfg, toAlloc)
 	golden := goldenState(from)
-	if err := LoadPTC(job, from, stores, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, from, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := core.GeneratePlan(from, to, core.PlanOptions{})
@@ -86,7 +87,7 @@ func reconfigure(t *testing.T, m *model.Model, fromCfg, toCfg parallel.Config,
 		t.Fatal(err)
 	}
 	tr := &Transformer{Job: job, Stores: stores}
-	st, err := tr.Apply(plan)
+	st, err := tr.Apply(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestApplyDPScaleOutAndIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := &Transformer{Job: "job0", Stores: stores}
-	st2, err := tr.Apply(plan)
+	st2, err := tr.Apply(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestApplyMultiDimensional(t *testing.T) {
 	}
 	from := buildPTC(t, m, cfgs[0].cfg, alloc(cfgs[0].n))
 	golden := goldenState(from)
-	if err := LoadPTC(job, from, stores, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, from, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 	for _, next := range cfgs[1:] {
@@ -175,7 +176,7 @@ func TestApplyMultiDimensional(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := &Transformer{Job: job, Stores: stores}
-		if _, err := tr.Apply(plan); err != nil {
+		if _, err := tr.Apply(context.Background(), plan); err != nil {
 			t.Fatal(err)
 		}
 		verifyAgainstGolden(t, job, to, stores, golden)
@@ -233,7 +234,7 @@ func TestApplyFailureRecoveryViaStorage(t *testing.T) {
 	const job = "job0"
 	from := buildPTC(t, m, parallel.Config{TP: 2, PP: 1, DP: 1}, alloc(2))
 	golden := goldenState(from)
-	if err := LoadPTC(job, from, stores, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, from, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 	// Device 1 dies.
@@ -245,11 +246,11 @@ func TestApplyFailureRecoveryViaStorage(t *testing.T) {
 	}
 	// Without a StorageReader the transformer must refuse.
 	tr := &Transformer{Job: job, Stores: stores}
-	if _, err := tr.Apply(plan); err == nil {
+	if _, err := tr.Apply(context.Background(), plan); err == nil {
 		t.Fatal("storage fetch without StorageReader succeeded")
 	}
 	tr.Storage = memStorage(golden)
-	st, err := tr.Apply(plan)
+	st, err := tr.Apply(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestReadPTCRoundTrip(t *testing.T) {
 	const job = "job0"
 	ptc := buildPTC(t, m, parallel.Config{TP: 2, PP: 2, DP: 1}, alloc(4))
 	golden := goldenState(ptc)
-	if err := LoadPTC(job, ptc, stores, golden); err != nil {
+	if err := LoadPTC(context.Background(), job, ptc, stores, golden); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadPTC(job, ptc, stores)
@@ -303,12 +304,12 @@ func TestApplyErrorsAreDescriptive(t *testing.T) {
 	}
 	// Missing destination store.
 	tr := &Transformer{Job: job, Stores: map[cluster.DeviceID]store.Access{0: store.Local{FS: store.NewMemFS()}}}
-	if _, err := tr.Apply(plan); err == nil || !strings.Contains(err.Error(), "no store") {
+	if _, err := tr.Apply(context.Background(), plan); err == nil || !strings.Contains(err.Error(), "no store") {
 		t.Fatalf("missing store error: %v", err)
 	}
 	// Stores exist but hold no state.
 	tr.Stores = localStores(alloc(2))
-	if _, err := tr.Apply(plan); err == nil || !strings.Contains(err.Error(), "fetch") {
+	if _, err := tr.Apply(context.Background(), plan); err == nil || !strings.Contains(err.Error(), "fetch") {
 		t.Fatalf("missing state error: %v", err)
 	}
 }

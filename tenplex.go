@@ -24,6 +24,7 @@
 package tenplex
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -147,7 +148,7 @@ func (j *Job) DeployWith(cfg parallel.Config, alloc cluster.Allocation, init map
 	if err != nil {
 		return fmt.Errorf("tenplex: deploy: %w", err)
 	}
-	if err := transform.LoadPTC(j.cfg.Name, ptc, j.stores, init); err != nil {
+	if err := transform.LoadPTC(context.TODO(), j.cfg.Name, ptc, j.stores, init); err != nil {
 		return fmt.Errorf("tenplex: deploy: %w", err)
 	}
 	j.ptc, j.par, j.alloc = ptc, cfg, alloc
@@ -228,7 +229,7 @@ func (j *Job) applyPlan(from, to *core.PTC, cfg parallel.Config, alloc cluster.A
 			}
 		}
 	}
-	if _, err := tr.Apply(plan); err != nil {
+	if _, err := tr.Apply(context.TODO(), plan); err != nil {
 		return ReconfigReport{}, fmt.Errorf("tenplex: transform: %w", err)
 	}
 	st := plan.Stats(j.cfg.Topology)
@@ -280,7 +281,7 @@ func (j *Job) WriteState(full map[core.TensorID]*tensor.Tensor) error {
 	if j.ptc == nil {
 		return fmt.Errorf("tenplex: job %q not deployed", j.cfg.Name)
 	}
-	return transform.LoadPTC(j.cfg.Name, j.ptc, j.stores, full)
+	return transform.LoadPTC(context.TODO(), j.cfg.Name, j.ptc, j.stores, full)
 }
 
 // HandleEvent adapts the job to a scheduler event, returning the
